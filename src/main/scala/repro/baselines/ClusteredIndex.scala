@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.model.Rmi
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{ColumnStore, IndexResult, KeySort, MultiDimIndex, RangeQuery, Scan}
 
 /** Baseline 2 (paper §7.2): clustered single-dimensional index. Points are
   * sorted by `sortDim` (the workload's most selective dimension) and a
@@ -18,10 +18,9 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
   val buildNanos: Long = {
     val t0 = System.nanoTime()
     val n = store.numRows
-    val col = store.columns(sortDim)
-    val perm = Array.range(0, n).map(Int.box)
-    java.util.Arrays.sort(perm, (a: Integer, b: Integer) => java.lang.Long.compare(col(a), col(b)))
-    dataV = store.reorder(perm.map(_.intValue))
+    val perm = Array.range(0, n)
+    KeySort.sort(store.columns(sortDim).clone(), perm)
+    dataV = store.reorder(perm)
     rmi = Rmi.build(dataV.columns(sortDim), leaves = math.max(64, n / 1024))
     System.nanoTime() - t0
   }

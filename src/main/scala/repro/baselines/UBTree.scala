@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.model.SearchUtil
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery}
+import repro.store.{ColumnStore, IndexResult, KeySort, MultiDimIndex, RangeQuery}
 
 /** Baseline 5 (paper §7.2, Appendix A): UB-tree. Points are ordered by
   * Z-value like the Z-order index and grouped into pages; the scan iterates
@@ -39,11 +39,10 @@ final class UBTree(
       z(i) = curve.encode(coords)
       i += 1
     }
-    val perm = Array.range(0, n).map(Int.box)
-    java.util.Arrays.sort(perm, (a: Integer, b: Integer) => java.lang.Long.compare(z(a), z(b)))
-    val p = perm.map(_.intValue)
-    dataV = store.reorder(p)
-    zvals = p.map(z)
+    val perm = Array.range(0, n)
+    KeySort.sort(z, perm)
+    dataV = store.reorder(perm)
+    zvals = z
     System.nanoTime() - t0
   }
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{ColumnStore, IndexResult, KeySort, MultiDimIndex, RangeQuery, Scan}
 
 /** Baseline 4 (paper §7.2, Appendix A): points ordered by Z-value, grouped
   * into pages with per-dimension min/max metadata. A query computes the
@@ -43,11 +43,10 @@ final class ZOrderIndex(
       z(i) = curve.encode(coords)
       i += 1
     }
-    val perm = Array.range(0, n).map(Int.box)
-    java.util.Arrays.sort(perm, (a: Integer, b: Integer) => java.lang.Long.compare(z(a), z(b)))
-    val p = perm.map(_.intValue)
-    dataV = store.reorder(p)
-    zvals = p.map(z)
+    val perm = Array.range(0, n)
+    KeySort.sort(z, perm)
+    dataV = store.reorder(perm)
+    zvals = z
     numPages = (n + pageSize - 1) / pageSize
     pageMin = Array.fill(numPages * d)(Long.MaxValue)
     pageMax = Array.fill(numPages * d)(Long.MinValue)

@@ -21,6 +21,32 @@ trait Flattening {
     if (x < 0) 0 else if (x >= c) c - 1 else x
   }
 
+  /** Column boundaries of dimension `dim` split into `c` columns: entry
+    * `k - 1` is the smallest `Long` whose `colOf` is at least `k`, for every
+    * `k` in `1 until c` that `colOf(Long.MaxValue)` reaches. Because `colOf`
+    * is monotone, `colOf(dim, v, c)` equals the number of entries `<= v`,
+    * so bucketing a row costs a search over at most `c - 1` longs instead of
+    * a model evaluation. Each entry is found exactly, by binary search of
+    * `colOf` over the whole `Long` range.
+    */
+  final def boundaries(dim: Int, c: Int): Array[Long] = {
+    val out = new Array[Long](colOf(dim, Long.MaxValue, c))
+    var lo = Long.MinValue
+    var k = 0
+    while (k < out.length) {
+      var l = lo
+      var h = Long.MaxValue
+      while (l < h) {
+        val m = l + ((h - l) >>> 1) // unsigned half-width: no overflow across the sign
+        if (colOf(dim, m, c) > k) h = m else l = m + 1
+      }
+      out(k) = l
+      lo = l
+      k += 1
+    }
+    out
+  }
+
   /** Per-model size in bytes, for the index-size accounting. */
   def sizeBytes: Long
 }

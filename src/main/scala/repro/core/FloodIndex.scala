@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.model.{Plm, SearchUtil}
-import repro.store.{ColumnStore, IndexResult, MultiDimIndex, RangeQuery, Scan}
+import repro.store.{ColumnStore, IndexResult, KeySort, MultiDimIndex, RangeQuery, Scan}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -82,25 +82,13 @@ final class FloodIndex(
   /** Physical start of each cell (length numCells + 1). */
   def cellTable: Array[Int] = cellStart
 
-  private def cellOf(row: Int): Int = {
-    var id = 0L
-    var i = 0
-    while (i < gDims.length) {
-      id += flattening.colOf(gDims(i), store(gDims(i), row), gCols(i)) * strides(i)
-      i += 1
-    }
-    id.toInt
-  }
-
   private def build(): Unit = {
     val n = store.numRows
-    val cellIds = new Array[Int](n)
-    var i = 0
-    while (i < n) { cellIds(i) = cellOf(i); i += 1 }
+    val cellIds = FloodIndex.cellIds(store, layout, flattening)
 
     // counting sort by cell id (stable)
     val counts = new Array[Int](numCells + 1)
-    i = 0
+    var i = 0
     while (i < n) { counts(cellIds(i) + 1) += 1; i += 1 }
     i = 1
     while (i <= numCells) { counts(i) += counts(i - 1); i += 1 }
@@ -115,27 +103,19 @@ final class FloodIndex(
       i += 1
     }
 
-    // sort each cell's rows by the sort dimension
+    // sort each cell's rows by the sort dimension; ties keep row order
     val sortCol = store.columns(sDim)
-    var c = 0
-    while (c < numCells) {
-      val s = cellStart(c); val e = cellStart(c + 1)
-      if (e - s > 1) {
-        val slice = java.util.Arrays.copyOfRange(perm, s, e)
-        val boxed = slice.map(Int.box)
-        java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => java.lang.Long.compare(sortCol(a), sortCol(b)))
-        var j = 0
-        while (j < boxed.length) { perm(s + j) = boxed(j); j += 1 }
-      }
-      c += 1
-    }
+    val keys = new Array[Long](n)
+    i = 0
+    while (i < n) { keys(i) = sortCol(perm(i)); i += 1 }
+    KeySort.sortSlices(keys, perm, cellStart)
 
     dataV = store.reorder(perm)
 
     // per-cell per-dimension min/max (exactness checks) + per-cell PLMs
     cellMin = Array.fill(numCells * d)(Long.MaxValue)
     cellMax = Array.fill(numCells * d)(Long.MinValue)
-    c = 0
+    var c = 0
     while (c < numCells) {
       val s = cellStart(c); val e = cellStart(c + 1)
       var dd = 0
@@ -301,4 +281,33 @@ final class FloodIndex(
 
   /** PLM metadata share of the index size (paper: >95% of Flood's space). */
   def plmBytes: Long = plms.iterator.filter(_ != null).map(_.sizeBytes).sum
+}
+
+object FloodIndex {
+
+  /** Grid cell id of every row of `store`: `Σ colOf(dim, v, cols) * stride`
+    * over the grid dimensions. Computed one dimension at a time from the
+    * flattening's column boundaries — the column of `v` is the number of
+    * boundaries `<= v` — which gives exactly `colOf`'s columns without
+    * evaluating the model per row.
+    */
+  private[core] def cellIds(store: ColumnStore, layout: Layout, flattening: Flattening): Array[Int] = {
+    val n = store.numRows
+    val ids = new Array[Int](n)
+    val gDims = layout.gridDims
+    val strides = layout.strides
+    var k = 0
+    while (k < gDims.length) {
+      val bounds = flattening.boundaries(gDims(k), layout.cols(k))
+      val col = store.columns(gDims(k))
+      val stride = strides(k).toInt
+      var i = 0
+      while (i < n) {
+        ids(i) += SearchUtil.binaryUpperBound(bounds, col(i), 0, bounds.length) * stride
+        i += 1
+      }
+      k += 1
+    }
+    ids
+  }
 }

@@ -10,7 +10,8 @@ import scala.collection.mutable.ArrayBuffer
   * error per slice is at most `delta`. The greedy pass keeps, for the current
   * slice anchored at `(v0, i0)`, the minimum slope over its points; that
   * minimum keeps the segment below every point of the slice. When the
-  * average error exceeds `delta`, a new slice starts.
+  * average error exceeds `delta`, a new slice starts. Running sums over the
+  * slice make each step O(1).
   *
   * Lookup finds the segment by binary search over slice start values (the
   * paper's cache-optimized B-tree; a flat sorted array here) and evaluates
@@ -19,10 +20,10 @@ import scala.collection.mutable.ArrayBuffer
   * O(log error).
   */
 final class Plm private (
-    startVal: Array[Long],   // first value of each slice
-    startIdx: Array[Int],    // D(startVal) of each slice
-    slope: Array[Double],    // slope of each slice's segment
-    val n: Int               // number of modeled entries
+    private[model] val startVal: Array[Long], // first value of each slice
+    private[model] val startIdx: Array[Int],  // D(startVal) of each slice
+    private[model] val slope: Array[Double],  // slope of each slice's segment
+    val n: Int                                // number of modeled entries
 ) {
   /** Number of linear segments. */
   def numSegments: Int = startVal.length
@@ -59,44 +60,42 @@ object Plm {
     val sl = new ArrayBuffer[Double]()
     if (n <= 0) return new Plm(Array(0L), Array(0), Array(0.0), 0)
 
-    // distinct values with first-occurrence indices
-    var i = s
+    // Running sums over the current slice's accepted points (the anchor
+    // excluded): their count, Σ index and Σ (v - sliceStartV). Under slope m
+    // the slice's total error Σ (i - sliceStartI - m (v - sliceStartV)) is
+    // sumI - cnt * sliceStartI - m * sumDv, so each candidate costs O(1).
     var sliceStartV = values(s)
     var sliceStartI = 0
     var minSlope = Double.MaxValue
-    val ptsV = new ArrayBuffer[Long]() // distinct values in current slice (after anchor)
-    val ptsI = new ArrayBuffer[Int]()
+    var cnt = 0
+    var sumI = 0L
+    var sumDv = 0.0
 
     def flush(): Unit = {
       val sp = if (minSlope == Double.MaxValue) 0.0 else minSlope
       sv += sliceStartV; si += sliceStartI; sl += sp
     }
 
-    i = s + 1
+    var i = s + 1
     var prevV = values(s)
     while (i < e) {
       val v = values(i)
       if (v != prevV) {
         val d = i - s // first occurrence index of v, relative to s
-        val cand = (d - sliceStartI).toDouble / (v.toDouble - sliceStartV.toDouble)
+        val dv = v.toDouble - sliceStartV.toDouble
+        val cand = (d - sliceStartI).toDouble / dv
         val newMin = math.min(minSlope, cand)
         // average error over the slice's points under the tentative slope
-        var errSum = 0.0
-        var k = 0
-        while (k < ptsV.length) {
-          errSum += ptsI(k) - (sliceStartI + newMin * (ptsV(k).toDouble - sliceStartV.toDouble))
-          k += 1
-        }
-        errSum += d - (sliceStartI + newMin * (v.toDouble - sliceStartV.toDouble))
-        val avgErr = errSum / (ptsV.length + 2) // anchor + accumulated + candidate
+        val errSum = (sumI + d - (cnt + 1).toLong * sliceStartI).toDouble - newMin * (sumDv + dv)
+        val avgErr = errSum / (cnt + 2) // anchor + accumulated + candidate
         if (avgErr > delta) {
           flush()
           sliceStartV = v; sliceStartI = d
           minSlope = Double.MaxValue
-          ptsV.clear(); ptsI.clear()
+          cnt = 0; sumI = 0L; sumDv = 0.0
         } else {
           minSlope = newMin
-          ptsV += v; ptsI += d
+          cnt += 1; sumI += d; sumDv += dv
         }
         prevV = v
       }

@@ -17,25 +17,44 @@ package repro.model
 final class Rmi private (
     sorted: Array[Long],
     leafStartIdx: Array[Int], // expert e covers sorted[leafStartIdx(e), leafStartIdx(e+1))
-    leafStartVal: Array[Long] // first value of each expert's slice
+    private[model] val leafStartVal: Array[Long] // first value of each expert's slice
 ) {
   private val n = sorted.length
   private val leafCount = leafStartIdx.length - 1
-  // Root: linear map value -> expert, fitted on (leafStartVal, expert index),
-  // corrected by a local walk so the chosen expert's value range contains v.
+  // Root: linear map value -> expert, fitted on (leafStartVal, expert index);
+  // expertOf corrects its guess by a search over the start values.
   private val vMin = sorted(0)
   private val vMax = sorted(n - 1)
   private val rootScale =
     if (vMax == vMin) 0.0 else leafCount.toDouble / (vMax.toDouble - vMin.toDouble)
 
-  private def expertOf(v: Long): Int = {
+  /** The last expert whose start value is `<= v` (expert 0 if none). Gallops
+    * from the root's guess to bracket the answer, then binary-searches the
+    * bracket, so a poor guess on a skewed column costs O(log distance) steps.
+    */
+  private[model] def expertOf(v: Long): Int = {
     var e = ((v.toDouble - vMin.toDouble) * rootScale).toInt
     if (e < 0) e = 0
     if (e >= leafCount) e = leafCount - 1
-    // local correction: walk to the expert whose [startVal, nextStartVal) holds v
-    while (e > 0 && v < leafStartVal(e)) e -= 1
-    while (e < leafCount - 1 && v >= leafStartVal(e + 1)) e += 1
-    e
+    // bracket [lo, hi): leafStartVal(lo) <= v (or lo = 0), leafStartVal(hi) > v (or hi = leafCount)
+    var lo = e
+    var hi = e + 1
+    var step = 1
+    if (leafStartVal(e) <= v) {
+      while (hi < leafCount && leafStartVal(hi) <= v) { lo = hi; step <<= 1; hi = e + step }
+      if (hi > leafCount) hi = leafCount
+    } else {
+      hi = e
+      lo = e - 1
+      while (lo > 0 && leafStartVal(lo) > v) { hi = lo; step <<= 1; lo = e - step }
+      if (lo < 0) lo = 0
+    }
+    // the answer is in [lo, hi): binary-search for the last start value <= v
+    while (hi - lo > 1) {
+      val m = (lo + hi) >>> 1
+      if (leafStartVal(m) <= v) lo = m else hi = m
+    }
+    lo
   }
 
   /** Approximate index of `v` in the sorted array (monotone in `v`). */

@@ -107,4 +107,49 @@ class PlmSpec extends AnyFunSuite {
       prev = p
     }
   }
+
+  /** Keys with many duplicates, and keys spread across the whole `Long` range. */
+  private val buildInputs: Seq[(String, Array[Long])] = {
+    val rng = new Random(28)
+    val dupHeavy = Array.fill(6000)(rng.nextInt(300).toLong * 7)
+    val wide = Array.fill(6000)(rng.nextLong()) ++ Array(Long.MinValue, Long.MaxValue, 0L, 0L)
+    Seq("duplicates" -> dupHeavy, "wide" -> wide, "with-gaps" -> TestData.sortedWithDuplicates(6000, 29))
+      .map { case (name, a) => java.util.Arrays.sort(a); name -> a }
+  }
+
+  test("lower bound holds on duplicate-heavy and wide-range keys") {
+    for ((name, a) <- buildInputs; delta <- Seq(1.0, 20.0, 200.0); s <- Seq(0, 1234)) {
+      val plm = Plm.build(a, s, a.length, delta)
+      for (i <- s until a.length if i == s || a(i) != a(i - 1))
+        assert(plm.predict(a(i)) <= i - s, s"$name delta=$delta s=$s v=${a(i)}")
+    }
+  }
+
+  test("every slice's average error is at most delta, computed exactly") {
+    for ((name, a) <- buildInputs; delta <- Seq(1.0, 20.0, 200.0)) {
+      val plm = Plm.build(a, 0, a.length, delta)
+      // distinct values with their first-occurrence index
+      val points = a.indices.filter(i => i == 0 || a(i) != a(i - 1)).map(i => BigInt(a(i)) -> BigInt(i))
+      val bySlice = points.groupBy { case (v, _) => plm.startVal.lastIndexWhere(v >= _) }
+      assert(bySlice.keySet == plm.startVal.indices.toSet, s"$name: every slice starts at a key")
+      for ((l, pts) <- bySlice if pts.length > 1) {
+        val (v0, d0) = pts.minBy(_._1)
+        assert(d0 == plm.startIdx(l) && v0 == plm.startVal(l))
+        val rest = pts.filter(_._1 != v0)
+        // the slice's exact minimum slope num / den, by cross-multiplication; the
+        // model stores it rounded to a double, which at an exact tie (average
+        // error exactly δ) can put the stored segment's error 1 ulp above δ
+        val (num, den) = rest.map { case (v, d) => (d - d0, v - v0) }.reduce { (x, y) =>
+          if (y._1 * x._2 < x._1 * y._2) y else x
+        }
+        val slope = BigDecimal(num) / BigDecimal(den)
+        assert((BigDecimal(plm.slope(l)) - slope).abs <= slope * BigDecimal(1e-12), s"$name slice=$l: stored slope")
+        // Σ err * den = Σ ((d - d0) * den - num * (v - v0)), against δ * count * den, in integers
+        val scaledErr = rest.map { case (v, d) => (d - d0) * den - num * (v - v0) }.sum
+        val budget = new java.math.BigDecimal(delta).multiply(new java.math.BigDecimal((den * pts.length).bigInteger))
+        assert(new java.math.BigDecimal(scaledErr.bigInteger).compareTo(budget) <= 0,
+          s"$name delta=$delta slice=$l avg=${(BigDecimal(scaledErr) / BigDecimal(den * pts.length)).toDouble}")
+      }
+    }
+  }
 }

@@ -116,4 +116,17 @@ class RmiSpec extends AnyFunSuite {
     assert(small.sizeBytes > 0)
     assert(large.sizeBytes > small.sizeBytes)
   }
+
+  test("expertOf finds the last expert starting at or below v, as a linear walk does") {
+    val rng = new Random(16)
+    for ((a, leaves) <- Seq(uniform -> 64, skewed -> 512, skewed -> 20, dup -> 400, dup -> 7, Array(5L) -> 1)) {
+      val rmi = Rmi.build(a, leaves)
+      val starts = rmi.leafStartVal
+      def walk(v: Long): Int = math.max(0, starts.lastIndexWhere(_ <= v))
+      val probes = starts.flatMap(s => Seq(s - 1, s, s + 1)) ++
+        Array.fill(2000)(a.head + (rng.nextDouble() * (a.last - a.head + 2)).toLong - 1) ++
+        Seq(Long.MinValue, Long.MaxValue, a.head, a.last)
+      for (v <- probes) assert(rmi.expertOf(v) == walk(v), s"n=${a.length} leaves=$leaves v=$v")
+    }
+  }
 }
