@@ -36,13 +36,13 @@ final class ClusteredIndex(store: ColumnStore, val sortDim: Int, aggDim: Int = 0
     }
     val t0 = System.nanoTime()
     val s = rmi.lowerBound(q.lo(sortDim))
-    val e = rmi.upperBound(q.hi(sortDim))
+    val e = math.max(s, rmi.upperBound(q.hi(sortDim))) // lo > hi: empty, not negative
     val t1 = System.nanoTime()
     // the sorted dimension is exact by construction; check the others
     val checks = q.filteredDims.filter(_ != sortDim)
     val (count, sum) = Scan.scanRange(dataV, q, checks, aggDim, s, e)
     val t2 = System.nanoTime()
-    IndexResult(count, sum, math.max(0, e - s).toLong, t1 - t0, t2 - t1)
+    IndexResult(count, sum, (e - s).toLong, t1 - t0, t2 - t1)
   }
 
   def sizeBytes: Long = rmi.sizeBytes

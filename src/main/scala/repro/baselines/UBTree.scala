@@ -50,13 +50,17 @@ final class UBTree(
     val t0 = System.nanoTime()
     val qlo = new Array[Long](d)
     val qhi = new Array[Long](d)
+    var emptyBox = false
     var k = 0
     while (k < d) {
       val dim = dimOrder(k)
       qlo(k) = if (q.lo(dim) == Long.MinValue) 0L else quant.quantize(k, q.lo(dim))
       qhi(k) = if (q.hi(dim) == Long.MaxValue) curve.maxCoord else quant.quantize(k, q.hi(dim))
+      if (qlo(k) > qhi(k)) emptyBox = true
       k += 1
     }
+    // an inverted range quantizes to an empty box, which BIGMIN cannot walk
+    if (emptyBox) return IndexResult(0L, 0L, 0L, System.nanoTime() - t0, 0L)
     val zlo = curve.encode(qlo)
     val zhi = curve.encode(qhi)
     var pos = SearchUtil.binaryLowerBound(zvals, zlo, 0, zvals.length)

@@ -16,10 +16,7 @@ trait Flattening {
   def frac(dim: Int, v: Long): Double
 
   /** Column of value `v` when dimension `dim` has `c` columns. */
-  final def colOf(dim: Int, v: Long, c: Int): Int = {
-    val x = (frac(dim, v) * c).toInt
-    if (x < 0) 0 else if (x >= c) c - 1 else x
-  }
+  final def colOf(dim: Int, v: Long, c: Int): Int = Flattening.column(frac(dim, v), c)
 
   /** Column boundaries of dimension `dim` split into `c` columns: entry
     * `k - 1` is the smallest `Long` whose `colOf` is at least `k`, for every
@@ -51,6 +48,19 @@ trait Flattening {
   def sizeBytes: Long
 }
 
+object Flattening {
+
+  /** Column of a value whose flattened fraction is `frac`, when its
+    * dimension has `c` columns: `frac * c` truncated and clamped to
+    * `[0, c)`. The one value→column rule; callers that precompute fractions
+    * (the optimizer's sample) use it directly.
+    */
+  @inline def column(frac: Double, c: Int): Int = {
+    val x = (frac * c).toInt
+    if (x < 0) 0 else if (x >= c) c - 1 else x
+  }
+}
+
 /** Learned flattening: one RMI-modelled empirical CDF per dimension, built
   * from a sample of the data. Skewed dimensions get non-uniform column
   * boundaries so each column holds ~equal mass (paper Fig. 6).
@@ -62,7 +72,11 @@ final class CdfFlattening private (models: Array[Rmi]) extends Flattening {
 
 object CdfFlattening {
 
-  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`. */
+  /** Train per-dimension CDF models on up to `sampleSize` rows of `store`.
+    * A zero-row store gets the CDF of the single value 0, so a layout can
+    * still be built over it (every value then maps to the first or the last
+    * column).
+    */
   def train(store: ColumnStore, sampleSize: Int = 100000, seed: Long = 7): CdfFlattening = {
     val n = store.numRows
     val rng = new java.util.Random(seed)
@@ -70,7 +84,7 @@ object CdfFlattening {
       if (n <= sampleSize) Array.range(0, n)
       else Array.fill(sampleSize)(rng.nextInt(n))
     val models = Array.tabulate(store.numDims) { d =>
-      val vals = rows.map(store(d, _))
+      val vals = if (n == 0) Array(0L) else rows.map(store(d, _))
       java.util.Arrays.sort(vals)
       Rmi.build(vals, leaves = math.max(8, vals.length / 256))
     }

@@ -40,16 +40,15 @@ final case class FloodStats(
   * @param layout     dimension ordering + per-grid-dimension column counts
   * @param flattening monotone per-dimension value→[0,1] maps
   * @param aggDim     dimension whose SUM the queries aggregate
-  * @param usePlm     refine with per-cell PLMs (else plain binary search)
-  * @param plmDelta   PLM average-error budget δ (paper §7.8 picks 50)
+  * @param usePlm     refine with per-cell PLMs of error budget
+  *                   `FloodIndex.PlmDelta` (else plain binary search)
   */
 final class FloodIndex(
     store: ColumnStore,
     val layout: Layout,
     val flattening: Flattening,
     aggDim: Int = 0,
-    usePlm: Boolean = true,
-    plmDelta: Double = 50.0
+    usePlm: Boolean = true
 ) extends MultiDimIndex {
   require(layout.d == store.numDims, "layout must cover every dimension")
   require(layout.numCells <= (1L << 22), s"cell count ${layout.numCells} too large")
@@ -137,7 +136,7 @@ final class FloodIndex(
       c = 0
       while (c < numCells) {
         val s = cellStart(c); val e = cellStart(c + 1)
-        if (e - s >= 32) plms(c) = Plm.build(sorted, s, e, plmDelta)
+        if (e - s >= 32) plms(c) = Plm.build(sorted, s, e, FloodIndex.PlmDelta)
         c += 1
       }
     }
@@ -284,6 +283,9 @@ final class FloodIndex(
 }
 
 object FloodIndex {
+
+  /** PLM average-error budget δ of each cell's model (paper §7.8 picks 50). */
+  val PlmDelta: Double = 50.0
 
   /** Grid cell id of every row of `store`: `Σ colOf(dim, v, cols) * stride`
     * over the grid dimensions. Computed one dimension at a time from the

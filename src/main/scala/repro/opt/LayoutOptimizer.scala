@@ -46,11 +46,6 @@ final class LayoutEvaluator(
   private val qFracLo: Array[Array[Double]] = queries.map(q => Array.tabulate(d)(k => flattening.frac(k, q.lo(k))))
   private val qFracHi: Array[Array[Double]] = queries.map(q => Array.tabulate(d)(k => flattening.frac(k, q.hi(k))))
 
-  @inline private def colOf(frac: Double, c: Int): Int = {
-    val x = (frac * c).toInt
-    if (x < 0) 0 else if (x >= c) c - 1 else x
-  }
-
   /** Estimated cost features of query `qi` under `layout`. */
   def features(layout: Layout, qi: Int): CostFeatures = {
     val q = queries(qi)
@@ -66,8 +61,8 @@ final class LayoutEvaluator(
     while (i < g) {
       val dim = gridDims(i)
       if (q.filters(dim)) {
-        cLo(i) = colOf(qFracLo(qi)(dim), cols(i))
-        cHi(i) = colOf(qFracHi(qi)(dim), cols(i))
+        cLo(i) = Flattening.column(qFracLo(qi)(dim), cols(i))
+        cHi(i) = Flattening.column(qFracHi(qi)(dim), cols(i))
       } else { cLo(i) = 0; cHi(i) = cols(i) - 1 }
       rectCells *= (cHi(i) - cLo(i) + 1)
       i += 1
@@ -83,7 +78,7 @@ final class LayoutEvaluator(
       i = 0
       while (in && i < g) {
         val dim = gridDims(i)
-        val c = colOf(fracs(dim)(p), cols(i))
+        val c = Flattening.column(fracs(dim)(p), cols(i))
         if (c < cLo(i) || c > cHi(i)) in = false
         else if (q.filters(dim) && (c == cLo(i) || c == cHi(i))) interior = false
         i += 1

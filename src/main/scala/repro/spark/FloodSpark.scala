@@ -2,14 +2,17 @@ package repro.spark
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.{CdfFlattening, Flattening, Layout}
+import repro.model.SearchUtil
+import repro.store.ColumnStore
 
 /** Flood's learned layout as a Spark partitioning/sort scheme with
   * DataFrame-level data skipping.
   *
   * The paper's index is a storage order plus a cell table; in Spark terms
-  * that is: (1) compute a `flood_cell` id for every row from the learned
-  * per-dimension CDFs (flattening) and the layout's column counts, (2)
-  * repartition by cell range and sort within partitions by
+  * that is: (1) compute a `flood_cell` id for every row from the core
+  * `Layout` and `Flattening` — the same cell `FloodIndex` puts the row in —
+  * (2) repartition by cell range and sort within partitions by
   * `(flood_cell, sortDim)` — giving exactly the paper's depth-first cell
   * traversal order with sort-dimension runs inside each cell — and (3)
   * answer a query by a Catalyst filter that combines *cell-coordinate
@@ -21,80 +24,46 @@ import org.apache.spark.sql.functions._
   */
 object FloodSpark {
 
-  /** A per-dimension empirical CDF carried as a sorted value sample. */
-  final case class CdfSample(sorted: Array[Long]) extends Serializable {
-    /** Monotone rank fraction of `v` in [0, 1]. */
-    def frac(v: Long): Double = {
-      var lo = 0; var hi = sorted.length
-      while (lo < hi) {
-        val m = (lo + hi) >>> 1
-        if (sorted(m) <= v) lo = m + 1 else hi = m
-      }
-      lo.toDouble / sorted.length
-    }
-    def colOf(v: Long, c: Int): Int = {
-      val x = (frac(v) * c).toInt
-      if (x < 0) 0 else if (x >= c) c - 1 else x
-    }
-  }
-
-  /** A Spark-side Flood layout over named columns.
-    *
-    * @param gridDims grid dimension column names (most selective first)
-    * @param cols     columns (bucket counts) per grid dimension
-    * @param sortDim  the sort dimension column name
-    * @param cdfs     learned flattening models per grid dimension
+  /** A Flood layout over a DataFrame's columns: `names(i)` is the column of
+    * store dimension `i` of `layout` and `flattening`. A layout learned by
+    * `LayoutOptimizer` on a store drives Spark as
+    * `SparkLayout(store.names.toSeq, layout, flattening)`.
     */
-  final case class SparkLayout(
-      gridDims: Seq[String],
-      cols: Seq[Int],
-      sortDim: String,
-      cdfs: Map[String, CdfSample]
-  ) {
-    require(gridDims.length == cols.length, "one column count per grid dim")
+  final case class SparkLayout(names: Seq[String], layout: Layout, flattening: Flattening) {
+    require(names.length == layout.d, "one column name per layout dimension")
 
-    /** Mixed-radix strides (first grid dim most significant). */
-    val strides: Seq[Long] = {
-      val s = new Array[Long](cols.length)
-      var acc = 1L
-      var i = cols.length - 1
-      while (i >= 0) { s(i) = acc; acc *= cols(i); i -= 1 }
-      s.toSeq
-    }
-
-    def numCells: Long = cols.foldLeft(1L)(_ * _.toLong)
+    def numCells: Long = layout.numCells
   }
+
+  /** `learnLayout` trains the flattening on about 1.5 × `SampleSize` rows
+    * of `df`, drawn with `SampleSeed`.
+    */
+  private val SampleSize = 10000
+  private val SampleSeed = 19L
 
   /** Learn a layout's flattening from a sample of `df` (the layout's shape —
     * grid dims, column counts, sort dim — comes from the core optimizer or a
     * caller-chosen configuration).
     */
-  def learnLayout(
-      df: DataFrame,
-      gridDims: Seq[String],
-      cols: Seq[Int],
-      sortDim: String,
-      sampleSize: Int = 10000,
-      seed: Long = 19
-  ): SparkLayout = {
-    val frac = math.min(1.0, sampleSize.toDouble / math.max(1L, df.count()).toDouble * 1.5)
-    val sample = df.sample(withReplacement = false, frac, seed)
-    val cdfs = gridDims.map { dim =>
-      val vals = sample.select(col(dim).cast("long")).collect().map(_.getLong(0))
-      java.util.Arrays.sort(vals)
-      dim -> CdfSample(if (vals.isEmpty) Array(0L) else vals)
-    }.toMap
-    SparkLayout(gridDims, cols, sortDim, cdfs)
+  def learnLayout(df: DataFrame, gridDims: Seq[String], cols: Seq[Int], sortDim: String): SparkLayout = {
+    val names = gridDims :+ sortDim
+    val frac = math.min(1.0, SampleSize.toDouble / math.max(1L, df.count()).toDouble * 1.5)
+    val sample = ColumnStore.fromDataFrame(df.sample(withReplacement = false, frac, SampleSeed), names)
+    SparkLayout(names, Layout(names.indices.toArray, cols.toArray), CdfFlattening.train(sample))
   }
 
-  /** The `flood_cell` expression for a layout. */
-  def cellColumn(layout: SparkLayout): Column = {
-    val parts = layout.gridDims.zipWithIndex.map { case (dim, i) =>
-      val cdf = layout.cdfs(dim)
-      val c = layout.cols(i)
-      val stride = layout.strides(i)
-      val colOfUdf = udf((v: Long) => cdf.colOf(v, c).toLong)
-      colOfUdf(col(dim).cast("long")) * lit(stride)
+  /** The `flood_cell` expression for a layout. Each grid dimension's column
+    * is the number of the flattening's column boundaries `<= v`, the rule
+    * `FloodIndex` buckets rows by; the UDF captures only the boundaries.
+    */
+  def cellColumn(sl: SparkLayout): Column = {
+    val l = sl.layout
+    val strides = l.strides
+    val parts = l.gridDims.indices.map { i =>
+      val dim = l.gridDims(i)
+      val bounds = sl.flattening.boundaries(dim, l.cols(i))
+      val colOfUdf = udf((v: Long) => SearchUtil.binaryUpperBound(bounds, v, 0, bounds.length).toLong)
+      colOfUdf(col(sl.names(dim)).cast("long")) * lit(strides(i))
     }
     parts.reduce(_ + _).as("flood_cell")
   }
@@ -103,10 +72,10 @@ object FloodSpark {
     * partitions by `(flood_cell, sortDim)` — the physical storage order of
     * the paper's index.
     */
-  def applyLayout(df: DataFrame, layout: SparkLayout, numPartitions: Int = 16): DataFrame =
-    df.withColumn("flood_cell", cellColumn(layout))
+  def applyLayout(df: DataFrame, sl: SparkLayout, numPartitions: Int = 16): DataFrame =
+    df.withColumn("flood_cell", cellColumn(sl))
       .repartitionByRange(numPartitions, col("flood_cell"))
-      .sortWithinPartitions(col("flood_cell"), col(layout.sortDim))
+      .sortWithinPartitions(col("flood_cell"), col(sl.names(sl.layout.sortDim)))
 
   /** Per-cell min/max/count statistics — the skipping index a table format
     * (or this test harness) would persist alongside the laid-out data.
@@ -118,36 +87,36 @@ object FloodSpark {
   }
 
   /** Driver-side projection: the per-grid-dimension column (bucket) ranges a
-    * query touches. Ranges are inclusive.
+    * query touches, by `Flattening.colOf` as in `FloodIndex`. Ranges are
+    * inclusive.
     */
-  def projectedColRanges(
-      layout: SparkLayout,
-      preds: Seq[(String, Long, Long)]
-  ): Seq[(Int, Int)] = {
+  def projectedColRanges(sl: SparkLayout, preds: Seq[(String, Long, Long)]): Seq[(Int, Int)] = {
     val byDim = preds.map(p => p._1 -> ((p._2, p._3))).toMap
-    layout.gridDims.zipWithIndex.map { case (dim, i) =>
-      byDim.get(dim) match {
-        case Some((lo, hi)) =>
-          val cdf = layout.cdfs(dim)
-          (cdf.colOf(lo, layout.cols(i)), cdf.colOf(hi, layout.cols(i)))
-        case None => (0, layout.cols(i) - 1)
+    val l = sl.layout
+    l.gridDims.indices.map { i =>
+      val dim = l.gridDims(i)
+      val c = l.cols(i)
+      byDim.get(sl.names(dim)) match {
+        case Some((lo, hi)) => (sl.flattening.colOf(dim, lo, c), sl.flattening.colOf(dim, hi, c))
+        case None => (0, c - 1)
       }
     }
   }
 
   /** Number of cells the query rectangle intersects (skipping effectiveness). */
-  def cellsTouched(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Long =
-    projectedColRanges(layout, preds).map { case (lo, hi) => (hi - lo + 1).toLong }.product
+  def cellsTouched(sl: SparkLayout, preds: Seq[(String, Long, Long)]): Long =
+    projectedColRanges(sl, preds).map { case (lo, hi) => (hi - lo + 1).toLong }.product
 
   /** The cell-pruning predicate: decodes each grid coordinate from
     * `flood_cell` with integer arithmetic and keeps only coordinates inside
     * the projected ranges. Pure Catalyst — no UDFs — so it participates in
     * predicate pushdown.
     */
-  def prunePredicate(layout: SparkLayout, preds: Seq[(String, Long, Long)]): Column = {
-    val ranges = projectedColRanges(layout, preds)
-    val conds = layout.gridDims.indices.map { i =>
-      val coord = floor(col("flood_cell") / lit(layout.strides(i))) % lit(layout.cols(i).toLong)
+  def prunePredicate(sl: SparkLayout, preds: Seq[(String, Long, Long)]): Column = {
+    val ranges = projectedColRanges(sl, preds)
+    val strides = sl.layout.strides
+    val conds = ranges.indices.map { i =>
+      val coord = floor(col("flood_cell") / lit(strides(i))) % lit(sl.layout.cols(i).toLong)
       val (lo, hi) = ranges(i)
       coord.between(lit(lo.toLong), lit(hi.toLong))
     }
@@ -158,9 +127,9 @@ object FloodSpark {
     * pruning (projection) AND the residual value filter (refinement + scan,
     * handled by Spark's sorted-run scan within each cell).
     */
-  def scan(laidOut: DataFrame, layout: SparkLayout, preds: Seq[(String, Long, Long)]): DataFrame = {
+  def scan(laidOut: DataFrame, sl: SparkLayout, preds: Seq[(String, Long, Long)]): DataFrame = {
     val valueConds = preds.map { case (c, lo, hi) => col(c).cast("long").between(lit(lo), lit(hi)) }
-    val full = (prunePredicate(layout, preds) +: valueConds).reduce(_ && _)
+    val full = (prunePredicate(sl, preds) +: valueConds).reduce(_ && _)
     laidOut.filter(full)
   }
 }

@@ -3,33 +3,33 @@ package repro
 import org.apache.spark.sql.functions._
 
 /** Sanity checks that the DuckDB oracle catches agreement and disagreement,
-  * over the provided TPC-H-lite generators.
+  * over the sales generator.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.002, seed = 1).cache()
+  private lazy val sales = SynthData.salesMulti(spark, 12000, seed = 1).cache()
 
-  test("lineitem aggregate agrees with DuckDB") {
-    val got = li
-      .filter(col("l_quantity") <= 25)
+  test("sales aggregate agrees with DuckDB") {
+    val got = sales
+      .filter(col("quantity") <= 25)
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       got,
-      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(l_quantity AS DOUBLE) <= 25",
-      "lineitem" -> li)
+      "SELECT count(*) AS cnt FROM sales WHERE CAST(quantity AS BIGINT) <= 25",
+      "sales" -> sales)
   }
 
   test("oracle catches a wrong result") {
-    val wrong = li.agg((count(lit(1)) + 1).as("cnt"))
+    val wrong = sales.agg((count(lit(1)) + 1).as("cnt"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM sales", "sales" -> sales)
     }
   }
 
   test("oracle enforces aligned column names") {
-    val got = li.agg(count(lit(1)).as("mislabeled"))
+    val got = sales.agg(count(lit(1)).as("mislabeled"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(got, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(got, "SELECT count(*) AS cnt FROM sales", "sales" -> sales)
     }
   }
 }

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import repro.core.{CdfFlattening, FloodIndex, Layout}
 import repro.store.{MultiDimIndex, RangeQuery, Scan}
 
 import scala.util.Random
@@ -51,8 +52,17 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("all baselines agree on empty-result queries") {
-    val q = RangeQuery.of(4, 0 -> (store.max(0) + 1, store.max(0) + 100))
-    for (idx <- all) assert(idx.query(q).count == 0, idx.name)
+    // Flood sorts by dim 0, like the clustered index, and grids the others
+    val flood = new FloodIndex(store, Layout(Array(3, 1, 2, 0), Array(8, 4, 4)), CdfFlattening.train(store), 1)
+    val queries = Seq(
+      RangeQuery.of(4, 0 -> (store.max(0) + 1, store.max(0) + 100)),
+      RangeQuery.of(4, 0 -> (900000L, 100L)), // inverted on the sort dimension
+      RangeQuery.of(4, 3 -> (500L, 20L)), // inverted on a grid dimension
+      RangeQuery.of(4, 0 -> (100L, 900000L), 1 -> (9000L, 10L)))
+    for (q <- queries; idx <- all :+ flood) {
+      val r = idx.query(q)
+      assert(r.count == 0 && r.sum == 0 && r.scanned >= 0, s"${idx.name} on $q: $r")
+    }
   }
 
   test("all baselines handle point lookups") {

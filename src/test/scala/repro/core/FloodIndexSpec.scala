@@ -209,4 +209,13 @@ class FloodIndexSpec extends AnyFunSuite {
       assert(idx.query(q).count == Scan.brute(s, q)._1)
     }
   }
+
+  test("a zero-row store builds and answers (0, 0)") {
+    val empty = new ColumnStore(Array("a", "b", "c"), Array.fill(3)(Array.empty[Long]))
+    val idx = new FloodIndex(empty, Layout(Array(0, 1, 2), Array(4, 4)), CdfFlattening.train(empty))
+    for (q <- Seq(RangeQuery.full(3), RangeQuery.of(3, 0 -> (1L, 5L), 2 -> (0L, 0L)))) {
+      val r = idx.query(q)
+      assert(r.count == 0 && r.sum == 0 && r.scanned == 0, s"on $q")
+    }
+  }
 }

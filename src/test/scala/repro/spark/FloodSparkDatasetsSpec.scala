@@ -3,6 +3,10 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.{CdfFlattening, FloodIndex}
+import repro.opt.{Calibration, LayoutOptimizer}
+import repro.store.ColumnStore
+import repro.workload.{Dataset, Workloads}
 
 /** End-to-end Oracle verification of the Spark Flood layout on each of the
   * four evaluation datasets (skewed and uniform alike): lay out, scan with a
@@ -55,5 +59,24 @@ class FloodSparkDatasetsSpec extends SparkSpec {
     // equal-width grid would put in a city-center cell
     assert(sizes.max < n / 4, s"max cell ${sizes.max} of $n")
     assert(sizes.length > 32, "most cells are populated after flattening")
+  }
+
+  test("a layout learned by LayoutOptimizer puts every row in FloodIndex's cell on Spark") {
+    val df = SynthData.osmMulti(spark, 20000, seed = 36).cache()
+    val store = ColumnStore.fromDataFrame(df, Seq("osm_id", "ts", "lat", "lon", "rec_type", "category"))
+    val ds = Dataset("osm", store, store.dimIndex("osm_id"))
+    val wl = Workloads.standard(ds, nTrain = 30, nTest = 1, seed = 37)
+    val model = Calibration.calibrate(ds, wl.train.take(15), numLayouts = 4, seed = 38)
+    val flat = CdfFlattening.train(store)
+    val layout = LayoutOptimizer.optimize(ds, flat, wl.train, model).layout
+    assert(layout.numCells > 1, s"degenerate learned layout $layout")
+    val laidOut = FloodSpark.applyLayout(df, FloodSpark.SparkLayout(store.names.toSeq, layout, flat))
+    val sparkSizes = laidOut.groupBy(col("flood_cell")).count().collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val ct = new FloodIndex(store, layout, flat, ds.aggDim).cellTable
+    val coreSizes = (0 until layout.numCells.toInt).collect {
+      case c if ct(c + 1) > ct(c) => c.toLong -> (ct(c + 1) - ct(c)).toLong
+    }.toMap
+    assert(sparkSizes == coreSizes, s"layout $layout")
   }
 }

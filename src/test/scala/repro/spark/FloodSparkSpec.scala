@@ -7,13 +7,13 @@ class FloodSparkSpec extends SparkSpec {
 
   private lazy val df = SynthData.lineitemMulti(spark, 20000, seed = 5).cache()
 
-  private lazy val layout = FloodSpark.learnLayout(
+  private lazy val sl = FloodSpark.learnLayout(
     df,
     gridDims = Seq("shipdate", "quantity", "discount"),
     cols = Seq(8, 4, 4),
     sortDim = "receiptdate")
 
-  private lazy val laidOut = FloodSpark.applyLayout(df, layout).cache()
+  private lazy val laidOut = FloodSpark.applyLayout(df, sl).cache()
 
   test("layout preserves every row exactly once") {
     assert(laidOut.count() == df.count())
@@ -25,7 +25,7 @@ class FloodSparkSpec extends SparkSpec {
   test("flood_cell is within [0, numCells)") {
     val mm = laidOut.agg(min(col("flood_cell")), max(col("flood_cell"))).head
     assert(mm.getLong(0) >= 0L)
-    assert(mm.getLong(1) < layout.numCells)
+    assert(mm.getLong(1) < sl.numCells)
   }
 
   test("rows are sorted by (flood_cell, sortDim) within each partition") {
@@ -49,7 +49,7 @@ class FloodSparkSpec extends SparkSpec {
   test("scan COUNT/SUM matches DuckDB oracle: grid-dim range filter") {
     val preds = Seq(("shipdate", 200L, 900L), ("quantity", 5L, 20L))
     val got = FloodSpark
-      .scan(laidOut, layout, preds)
+      .scan(laidOut, sl, preds)
       .agg(count(lit(1)).as("cnt"),
         coalesce(sum(col("discount")), lit(0L)).as("total_discount"))
     Oracle.assertEquivalent(
@@ -65,7 +65,7 @@ class FloodSparkSpec extends SparkSpec {
   test("scan matches DuckDB oracle: sort-dim filter included") {
     val preds = Seq(("shipdate", 0L, 1500L), ("receiptdate", 100L, 800L))
     val got = FloodSpark
-      .scan(laidOut, layout, preds)
+      .scan(laidOut, sl, preds)
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       got,
@@ -77,7 +77,7 @@ class FloodSparkSpec extends SparkSpec {
 
   test("scan matches DuckDB oracle: filter on a non-indexed dimension") {
     val preds = Seq(("suppkey", 0L, 500L))
-    val got = FloodSpark.scan(laidOut, layout, preds).agg(count(lit(1)).as("cnt"))
+    val got = FloodSpark.scan(laidOut, sl, preds).agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
       got,
       "SELECT count(*) AS cnt FROM lineitem WHERE CAST(suppkey AS BIGINT) BETWEEN 0 AND 500",
@@ -86,7 +86,7 @@ class FloodSparkSpec extends SparkSpec {
 
   test("scan matches DuckDB oracle: equality predicate") {
     val preds = Seq(("quantity", 7L, 7L))
-    val got = FloodSpark.scan(laidOut, layout, preds)
+    val got = FloodSpark.scan(laidOut, sl, preds)
       .agg(count(lit(1)).as("cnt"), coalesce(sum(col("partkey")), lit(0L)).as("pk_sum"))
     Oracle.assertEquivalent(
       got,
@@ -97,7 +97,7 @@ class FloodSparkSpec extends SparkSpec {
 
   test("grouped aggregation over the scan matches DuckDB") {
     val preds = Seq(("shipdate", 100L, 1200L), ("discount", 2L, 6L))
-    val got = FloodSpark.scan(laidOut, layout, preds)
+    val got = FloodSpark.scan(laidOut, sl, preds)
       .groupBy(col("discount").as("d"))
       .agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
@@ -111,14 +111,14 @@ class FloodSparkSpec extends SparkSpec {
 
   test("cell pruning reduces the cells touched (projection works)") {
     val narrow = Seq(("shipdate", 100L, 200L))
-    assert(FloodSpark.cellsTouched(layout, narrow) < layout.numCells)
-    val all = FloodSpark.cellsTouched(layout, Seq.empty)
-    assert(all == layout.numCells)
+    assert(FloodSpark.cellsTouched(sl, narrow) < sl.numCells)
+    val all = FloodSpark.cellsTouched(sl, Seq.empty)
+    assert(all == sl.numCells)
   }
 
   test("prunePredicate keeps exactly the rows whose cells intersect") {
     val preds = Seq(("shipdate", 300L, 700L))
-    val pruned = laidOut.filter(FloodSpark.prunePredicate(layout, preds))
+    val pruned = laidOut.filter(FloodSpark.prunePredicate(sl, preds))
     val full = laidOut.filter(col("shipdate").between(300L, 700L))
     // pruning is a superset of the true result, never a subset
     assert(pruned.count() >= full.count())
@@ -134,16 +134,22 @@ class FloodSparkSpec extends SparkSpec {
     assert(bad == 0)
   }
 
-  test("CdfSample frac is monotone and in [0,1]") {
-    val s = FloodSpark.CdfSample(Array(1L, 5L, 5L, 9L, 20L))
-    val vals = Seq(-3L, 1L, 4L, 5L, 10L, 20L, 50L)
-    val fr = vals.map(s.frac)
-    assert(fr.zip(fr.tail).forall { case (a, b) => a <= b })
-    assert(fr.forall(f => f >= 0.0 && f <= 1.0))
+  test("layout strides follow mixed radix") {
+    assert(sl.layout.strides.toSeq == Seq(16L, 4L, 1L))
+    assert(sl.numCells == 128L)
   }
 
-  test("layout strides follow mixed radix") {
-    assert(layout.strides == Seq(16L, 4L, 1L))
-    assert(layout.numCells == 128L)
+  test("an empty DataFrame lays out and answers like DuckDB") {
+    val empty = SynthData.lineitemMulti(spark, 0, seed = 5)
+    val esl = FloodSpark.learnLayout(empty, Seq("shipdate", "quantity"), Seq(4, 4), "receiptdate")
+    val got = FloodSpark
+      .scan(FloodSpark.applyLayout(empty, esl), esl, Seq(("shipdate", 0L, 900L)))
+      .agg(count(lit(1)).as("cnt"), coalesce(sum(col("discount")), lit(0L)).as("total_discount"))
+    Oracle.assertEquivalent(
+      got,
+      """SELECT count(*) AS cnt,
+        |       COALESCE(SUM(CAST(discount AS BIGINT)), 0) AS total_discount
+        |FROM lineitem WHERE CAST(shipdate AS BIGINT) BETWEEN 0 AND 900""".stripMargin,
+      "lineitem" -> empty)
   }
 }
